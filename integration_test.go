@@ -178,18 +178,15 @@ func TestChurnTriggerRefineLoop(t *testing.T) {
 	base.UseDegreeWeights()
 	p := stream.DG(base, 10, stream.DefaultOptions())
 
-	ov := graph.NewOverlay(base)
+	mg := graph.NewMutable(base, base.NumVertices())
 	// Heavy churn concentrated on high-ids: unbalances and stales p.
 	applied := 0
 	for v := int32(0); v < 600; v++ {
-		u := base.NumVertices() - 1 - v
-		if v != u && !ov.HasEdge(v, u) {
-			if ov.AddEdge(v, u, 1) == nil {
-				applied++
-			}
+		if added, _ := mg.AddEdge(v, base.NumVertices()-1-v, 1); added {
+			applied++
 		}
 	}
-	cur := ov.Materialize()
+	cur := mg.Freeze()
 	cur.UseDegreeWeights()
 	// p still assigns every vertex (vertex set unchanged).
 	if err := p.Validate(cur); err != nil {

@@ -460,19 +460,14 @@ func (d *Directory) abort(epoch int64, phase int32, attempts int) {
 // boundary, which the recovery sweep covers byte by byte).
 func (d *Directory) appendRecord(typ byte, epoch int64, payload []byte, fe, op int) (attempts int, err error) {
 	rec := appendRecordBytes(nil, typ, epoch, payload)
-	for attempt := 0; ; attempt++ {
-		d.advance(d.fsync)
-		if d.fab == nil || !d.fab.Drop(fe, op, attempt) {
-			d.j = append(d.j, rec...)
-			d.mx.journalBytes.Add(int64(len(rec)))
-			return attempt + 1, nil
-		}
-		if attempt >= d.opts.Policy.MaxRetries {
-			return attempt + 1, fmt.Errorf("dir: journal append for epoch %d dropped %d times: %w", epoch, attempt+1, ErrPublishFailed)
-		}
-		d.mx.fsyncRetries.Inc()
-		d.advance(d.opts.Policy.Backoff(attempt))
+	attempts, ok := faultsim.Deliver(d.fab, d.opts.Policy, d.clk, fe, op, func(int, int64) { d.mx.fsyncRetries.Inc() })
+	d.advance(int64(attempts) * d.fsync)
+	if !ok {
+		return attempts, fmt.Errorf("dir: journal append for epoch %d dropped %d times: %w", epoch, attempts, ErrPublishFailed)
 	}
+	d.j = append(d.j, rec...)
+	d.mx.journalBytes.Add(int64(len(rec)))
+	return attempts, nil
 }
 
 // PublishAssign diffs a target assignment against the live epoch and

@@ -11,7 +11,7 @@ import (
 // Edge-level dynamism: the paper's Pregel background allows vertex
 // functions to add or remove edges; between computations the
 // decomposition then degrades and a refinement should be triggered.
-// This file provides a churn generator, an applier over graph.Overlay,
+// This file provides a churn generator, an applier over graph.Mutable,
 // and the trigger policy deciding when re-refinement pays off.
 
 // EdgeOp is one churn event.
@@ -126,21 +126,19 @@ func ChurnOps(src Source, adds, removes int, rng *rand.Rand) []EdgeOp {
 	return ops
 }
 
-// ApplyChurn applies events to an overlay, returning how many actually
-// changed the graph (removals of absent edges and invalid adds are
-// skipped).
-func ApplyChurn(o *graph.Overlay, ops []EdgeOp) int {
+// ApplyChurn applies events to a mutable graph, returning how many
+// actually changed it (removals of absent edges, adds of existing edges
+// and invalid adds are skipped).
+func ApplyChurn(m *graph.Mutable, ops []EdgeOp) int {
 	applied := 0
 	for _, op := range ops {
+		var ok bool
 		if op.Add {
-			if o.HasEdge(op.U, op.V) {
-				continue
-			}
-			if err := o.AddEdge(op.U, op.V, op.W); err == nil {
-				applied++
-			}
-		} else if o.HasEdge(op.U, op.V) {
-			o.RemoveEdge(op.U, op.V)
+			ok, _ = m.AddEdge(op.U, op.V, op.W)
+		} else {
+			_, ok = m.RemoveEdge(op.U, op.V)
+		}
+		if ok {
 			applied++
 		}
 	}

@@ -43,14 +43,14 @@ func TestRandomChurnShape(t *testing.T) {
 
 func TestApplyChurn(t *testing.T) {
 	g := gen.Mesh2D(10, 10)
-	o := graph.NewOverlay(g)
+	o := graph.NewMutable(g, g.NumVertices())
 	before := o.NumEdges()
 	ops := RandomChurn(g, 40, 20, 3)
 	applied := ApplyChurn(o, ops)
 	if applied == 0 {
 		t.Fatal("nothing applied")
 	}
-	m := o.Materialize()
+	m := o.Freeze()
 	if err := m.Validate(); err != nil {
 		t.Fatalf("churned graph invalid: %v", err)
 	}
@@ -58,7 +58,7 @@ func TestApplyChurn(t *testing.T) {
 		t.Log("edge count unchanged (adds balanced removes) — still fine")
 	}
 	// Removing an absent edge and re-adding an existing one are skipped.
-	o2 := graph.NewOverlay(g)
+	o2 := graph.NewMutable(g, g.NumVertices())
 	skip := []EdgeOp{
 		{Add: false, U: 0, V: 99},     // not an edge
 		{Add: true, U: 0, V: 1, W: 1}, // already exists
@@ -113,9 +113,9 @@ func TestChurnThenRefineLoop(t *testing.T) {
 	g := gen.RMAT(2000, 10000, 0.57, 0.19, 0.19, 5)
 	g.UseDegreeWeights()
 	p := stream.DG(g, 8, stream.DefaultOptions())
-	o := graph.NewOverlay(g)
+	o := graph.NewMutable(g, g.NumVertices())
 	applied := ApplyChurn(o, RandomChurn(g, 1500, 200, 9))
-	cur := o.Materialize()
+	cur := o.Freeze()
 	cur.UseDegreeWeights()
 	d := DefaultTrigger().Evaluate(cur, p, int64(applied))
 	if !d.Refine {

@@ -65,32 +65,18 @@ func (e *DeliveryError) Error() string {
 // Unwrap makes errors.Is(err, ErrExchangeFailed) hold.
 func (e *DeliveryError) Unwrap() error { return ErrExchangeFailed }
 
-// deliver attempts to send one message op under the fault fabric,
-// retrying with capped backoff until it is delivered or the retry budget
-// is exhausted. Each attempt (including lost ones — the bytes went out)
-// costs size bytes; backoff advances the virtual clock. It returns the
-// total bytes spent and the number of retries performed. onRetry, when
-// non-nil, is invoked after each backoff with the lost attempt's index
-// and the ticks waited — the coordinator-side hook the Region strategy
-// uses to trace retries.
+// deliver sends one message op through faultsim.Deliver. Each attempt
+// (including lost ones — the bytes went out) costs size bytes. It
+// returns the total bytes spent and the number of retries performed;
+// onRetry is faultsim.Deliver's per-retry hook, which the Region
+// strategy uses to trace retries.
 func deliver(f faultsim.Fabric, pol faultsim.Policy, clk *faultsim.Clock, epoch, op int, size int64, onRetry func(attempt int, backoff int64)) (bytes int64, retries int, err error) {
-	for attempt := 0; ; attempt++ {
-		bytes += size
-		if f == nil || !f.Drop(epoch, op, attempt) {
-			return bytes, retries, nil
-		}
-		if attempt >= pol.MaxRetries {
-			return bytes, retries, fmt.Errorf("exchange: message %d dropped %d times: %w", op, attempt+1, ErrExchangeFailed)
-		}
-		b := pol.Backoff(attempt)
-		if clk != nil {
-			clk.Advance(b)
-		}
-		if onRetry != nil {
-			onRetry(attempt, b)
-		}
-		retries++
+	attempts, ok := faultsim.Deliver(f, pol, clk, epoch, op, onRetry)
+	bytes, retries = int64(attempts)*size, attempts-1
+	if !ok {
+		err = fmt.Errorf("exchange: message %d dropped %d times: %w", op, attempts, ErrExchangeFailed)
 	}
+	return bytes, retries, err
 }
 
 // exchangeMetrics resolves the registry handles both strategies share.

@@ -34,10 +34,10 @@ func RepartitionerLandscape(scale float64, nSources int) *Table {
 	old := stream.DG(base, k, stream.DefaultOptions())
 
 	// Churn the graph: the decomposition is now stale.
-	ov := graph.NewOverlay(base)
+	mg := graph.NewMutable(base, base.NumVertices())
 	adds := int(base.NumEdges() / 10)
-	dyn.ApplyChurn(ov, dyn.RandomChurn(base, adds, adds/4, 31))
-	g := ov.Materialize()
+	dyn.ApplyChurn(mg, dyn.RandomChurn(base, adds, adds/4, 31))
+	g := mg.Freeze()
 	g.UseDegreeWeights()
 
 	c := env.PlainMatrix()

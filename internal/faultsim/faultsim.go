@@ -435,3 +435,30 @@ func (p Policy) Backoff(attempt int) int64 {
 // Normalized returns the policy with defaults applied — what consumers
 // should call once up front so a zero Policy value means DefaultPolicy.
 func (p Policy) Normalized() Policy { return p.withDefaults() }
+
+// Deliver sends message op of round through the fabric, retrying a
+// dropped attempt after pol's capped backoff until it is delivered or
+// pol.MaxRetries redeliveries are spent. It is the one drop/retry loop
+// of the pipeline: callers derive their bytes and fsync ticks from
+// attempts (every attempt, lost or not, was sent). After each lost
+// attempt that is retried, the backoff advances clk (when non-nil) and
+// then onRetry (when non-nil) runs with the lost attempt's index and the
+// ticks waited, so trace and metric emissions see the advanced clock.
+// A nil fab delivers on the first attempt.
+func Deliver(fab Fabric, pol Policy, clk *Clock, round, op int, onRetry func(attempt int, backoff int64)) (attempts int, ok bool) {
+	for attempt := 0; ; attempt++ {
+		if fab == nil || !fab.Drop(round, op, attempt) {
+			return attempt + 1, true
+		}
+		if attempt >= pol.MaxRetries {
+			return attempt + 1, false
+		}
+		b := pol.Backoff(attempt)
+		if clk != nil {
+			clk.Advance(b)
+		}
+		if onRetry != nil {
+			onRetry(attempt, b)
+		}
+	}
+}

@@ -215,3 +215,36 @@ func TestRateRoughlyHonored(t *testing.T) {
 		t.Fatalf("empirical rate %.4f far from 0.2", frac)
 	}
 }
+
+func TestDeliverRetriesThenAbandons(t *testing.T) {
+	pol := DefaultPolicy()
+	clk := NewClock()
+	// Attempts 0 and 1 of message 3 are dropped; attempt 2 lands.
+	in := NewInjector(Config{Script: []Event{
+		{Kind: KindDrop, Round: 1, Index: 3, Attempt: 0},
+		{Kind: KindDrop, Round: 1, Index: 3, Attempt: 1},
+	}})
+	var seen []int64
+	attempts, ok := Deliver(in, pol, clk, 1, 3, func(attempt int, b int64) {
+		if b != pol.Backoff(attempt) {
+			t.Fatalf("retry %d waited %d, want %d", attempt, b, pol.Backoff(attempt))
+		}
+		seen = append(seen, clk.Now()) // the clock has already advanced
+	})
+	if !ok || attempts != 3 {
+		t.Fatalf("attempts=%d ok=%v, want 3 true", attempts, ok)
+	}
+	if len(seen) != 2 || seen[0] != 1 || seen[1] != 3 {
+		t.Fatalf("retry clock stamps %v, want [1 3]", seen)
+	}
+
+	// A certain-drop fabric spends the whole budget and gives up.
+	attempts, ok = Deliver(NewInjector(Config{Rate: 1}), pol, nil, 0, 0, nil)
+	if ok || attempts != pol.MaxRetries+1 {
+		t.Fatalf("attempts=%d ok=%v, want %d false", attempts, ok, pol.MaxRetries+1)
+	}
+	// No fabric: delivered first time.
+	if attempts, ok = Deliver(nil, pol, clk, 0, 0, nil); !ok || attempts != 1 {
+		t.Fatalf("nil fabric: attempts=%d ok=%v", attempts, ok)
+	}
+}

@@ -493,36 +493,30 @@ func refine(g *graph.Graph, p *partition.Partitioning, c [][]float64, cfg Config
 				if hi > nV {
 					hi = nV
 				}
-				for attempt := 0; ; attempt++ {
-					st.LocationExchangeBytes += (hi - lo) * 4 // spent even when dropped
-					mx.exchangeBytes.Add((hi - lo) * 4)
-					if fab == nil || !fab.Drop(round, region, attempt) {
-						if tr != nil {
-							tr.Emit(obs.Event{Kind: obs.KindRegionSent, Round: int32(round),
-								A: int32(region), N: (hi - lo) * 4 * int64(attempt+1), M: int64(attempt)})
-						}
-						break
-					}
-					if attempt >= pol.MaxRetries {
-						st.Faults.ExchangeAborts++
-						mx.exchangeAborts.Inc()
-						if tr != nil {
-							tr.Emit(obs.Event{Kind: obs.KindRegionAbort, Round: int32(round),
-								A: int32(region), B: int32(attempt + 1)})
-						}
-						exchangeOK = false
-						break
-					}
+				attempts, ok := faultsim.Deliver(fab, pol, clk, round, region, func(attempt int, b int64) {
 					st.Faults.ExchangeRetries++
 					mx.exchangeRetries.Inc()
-					b := pol.Backoff(attempt)
 					st.Faults.BackoffTicks += b
 					mx.backoffTicks.Add(b)
-					clk.Advance(b)
 					if tr != nil {
 						tr.Emit(obs.Event{Kind: obs.KindRegionRetry, Round: int32(round),
 							A: int32(region), B: int32(attempt), N: b})
 					}
+				})
+				bytes := (hi - lo) * 4 * int64(attempts) // dropped attempts were spent too
+				st.LocationExchangeBytes += bytes
+				mx.exchangeBytes.Add(bytes)
+				if !ok {
+					st.Faults.ExchangeAborts++
+					mx.exchangeAborts.Inc()
+					if tr != nil {
+						tr.Emit(obs.Event{Kind: obs.KindRegionAbort, Round: int32(round),
+							A: int32(region), B: int32(attempts)})
+					}
+					exchangeOK = false
+				} else if tr != nil {
+					tr.Emit(obs.Event{Kind: obs.KindRegionSent, Round: int32(round),
+						A: int32(region), N: bytes, M: int64(attempts - 1)})
 				}
 			}
 			if !exchangeOK {

@@ -19,8 +19,8 @@ func TestRetargetMatchesRebuild(t *testing.T) {
 	}
 	ix := BuildIndex(g0, p)
 
-	// Churn through an overlay: adds and removes, dirty = endpoints.
-	o := graph.NewOverlay(g0)
+	// Churn through a mutable graph: adds and removes, dirty = endpoints.
+	o := graph.NewMutable(g0, g0.NumVertices())
 	dirtySet := make(map[int32]bool)
 	ops := []struct {
 		add  bool
@@ -42,24 +42,22 @@ func TestRetargetMatchesRebuild(t *testing.T) {
 	}
 	for _, op := range ops {
 		if op.add {
-			if o.HasEdge(op.u, op.v) {
-				continue
-			}
-			if err := o.AddEdge(op.u, op.v, 1); err != nil {
+			added, err := o.AddEdge(op.u, op.v, 1)
+			if err != nil {
 				t.Fatalf("add (%d,%d): %v", op.u, op.v, err)
 			}
-		} else {
-			if !o.HasEdge(op.u, op.v) {
+			if !added {
 				continue
 			}
-			o.RemoveEdge(op.u, op.v)
+		} else if _, ok := o.RemoveEdge(op.u, op.v); !ok {
+			continue
 		}
 		dirtySet[op.u] = true
 		dirtySet[op.v] = true
 	}
-	g1 := o.Materialize()
+	g1 := o.Freeze()
 	if g1.NumVertices() != g0.NumVertices() {
-		t.Fatal("overlay changed the vertex count")
+		t.Fatal("churn changed the vertex count")
 	}
 	var dirty []int32
 	for v := int32(0); v < g0.NumVertices(); v++ {
@@ -102,12 +100,12 @@ func TestRetargetThenMove(t *testing.T) {
 	}
 	ix := BuildIndex(g0, p)
 
-	o := graph.NewOverlay(g0)
-	if err := o.AddEdge(0, 399, 1); err != nil {
+	o := graph.NewMutable(g0, g0.NumVertices())
+	if _, err := o.AddEdge(0, 399, 1); err != nil {
 		t.Fatal(err)
 	}
 	o.RemoveEdge(0, 1)
-	g1 := o.Materialize()
+	g1 := o.Freeze()
 	if err := ix.Retarget(g1, []int32{0, 1, 399}); err != nil {
 		t.Fatal(err)
 	}

@@ -18,11 +18,11 @@ import (
 //
 //	INGESTING ──trigger fires──▶ EPOCH IN FLIGHT ──join batch──▶ MERGE
 //	    ▲                                                      │
-//	    └???────commit (publish ok) / abort (fault) ◀──────────┘
+//	    └───────commit (publish ok) / abort (fault) ◀──────────┘
 //
 // Between launch and join the epoch goroutine exclusively owns the
 // snapshot-side state (pidx, ix, snap); the ingest side keeps mutating
-// only the live-side state (adj, live, loads, score). The join receives
+// only the live-side state (g, live, loads, score). The join receives
 // ownership back through the result channel (a happens-before edge), so
 // there is no lock and no timing-dependent interleaving anywhere.
 
@@ -77,7 +77,7 @@ func (s *Session) Ingest(b dyn.Batch) (BatchStats, error) {
 	s.mx.arrivals.Add(int64(st.Arrivals))
 	s.mx.rejected.Add(int64(st.Rejected))
 	s.mx.activeGauge.Set(float64(s.active))
-	s.mx.edgesGauge.Set(float64(s.edges))
+	s.mx.edgesGauge.Set(float64(s.g.NumEdges()))
 
 	if s.tr != nil {
 		s.tr.Emit(obs.Event{Kind: obs.KindIngestBatch, Round: int32(seq),
@@ -85,7 +85,7 @@ func (s *Session) Ingest(b dyn.Batch) (BatchStats, error) {
 	}
 
 	if s.run == nil && seq >= s.cooldownUntil {
-		d := s.cfg.Trigger.EvaluateScore(s.LiveScore(), s.alpha*s.baseComm, s.edges, s.churned)
+		d := s.cfg.Trigger.EvaluateScore(s.LiveScore(), s.alpha*s.baseComm, s.g.NumEdges(), s.churned)
 		st.Trigger = d
 		if d.Refine {
 			s.launchEpoch(seq, d)
@@ -121,23 +121,20 @@ func (s *Session) applyOp(op dyn.EdgeOp) (added, removed bool) {
 		if w <= 0 {
 			w = 1
 		}
-		if s.hasEdge(u, v) {
+		// The ids and weight were checked above, so AddEdge cannot fail;
+		// !ok means the edge already exists.
+		if ok, _ := s.g.AddEdge(u, v, w); !ok {
 			return false, false
 		}
-		s.adj[u] = append(s.adj[u], half{to: v, w: w})
-		s.adj[v] = append(s.adj[v], half{to: u, w: w})
-		s.edges++
 		s.ewTotal += int64(w)
 		s.scoreEdge(u, v, w, +1)
 		s.markChurned(u, v)
 		return true, false
 	}
-	w, ok := s.removeHalf(u, v)
+	w, ok := s.g.RemoveEdge(u, v)
 	if !ok {
 		return false, false
 	}
-	s.removeHalf(v, u)
-	s.edges--
 	s.ewTotal -= int64(w)
 	s.scoreEdge(u, v, w, -1)
 	s.markChurned(u, v)
@@ -165,35 +162,6 @@ func (s *Session) scoreEdge(u, v, w int32, sign int) {
 		s.cut += int64(w)
 		s.comm += d
 	}
-}
-
-func (s *Session) hasEdge(u, v int32) bool {
-	a := s.adj[u]
-	if len(s.adj[v]) < len(a) {
-		a, u, v = s.adj[v], v, u
-	}
-	for _, h := range a {
-		if h.to == v {
-			return true
-		}
-	}
-	return false
-}
-
-// removeHalf drops v from u's half-edge list (swap-delete; adjacency
-// order is maintained data, not an invariant — every consumer iterates
-// whatever order is current, which is itself deterministic).
-func (s *Session) removeHalf(u, v int32) (w int32, ok bool) {
-	a := s.adj[u]
-	for i, h := range a {
-		if h.to == v {
-			last := len(a) - 1
-			a[i] = a[last]
-			s.adj[u] = a[:last]
-			return h.w, true
-		}
-	}
-	return 0, false
 }
 
 // markChurned records both endpoints dirty for the next epoch's
@@ -260,8 +228,8 @@ func (s *Session) placeArrival(a dyn.Arrival) bool {
 	best := s.placer.Place(nbrs, wts, s.live, s.floads, vw, capF, alpha)
 
 	s.active++
-	s.weight[v] = vw
-	s.vsize[v] = 1
+	s.g.SetVertexWeight(v, vw)
+	s.g.SetVertexSize(v, 1)
 	s.live[v] = best
 	s.loads[best] += vw
 	s.floads[best] += vw
@@ -271,9 +239,9 @@ func (s *Session) placeArrival(a dyn.Arrival) bool {
 
 	for i, u := range nbrs {
 		w := wts[i]
-		s.adj[v] = append(s.adj[v], half{to: u, w: w})
-		s.adj[u] = append(s.adj[u], half{to: v, w: w})
-		s.edges++
+		// nbrs are active, distinct and not v, and v had no edges, so
+		// the add always succeeds.
+		_, _ = s.g.AddEdge(v, u, w)
 		s.ewTotal += int64(w)
 		s.scoreEdge(v, u, w, +1)
 		s.churned++
@@ -298,7 +266,7 @@ func (s *Session) launchEpoch(seq int64, d dyn.Decision) {
 	for _, v := range s.placed {
 		s.ix.Move(v, s.live[v])
 	}
-	s.snap = s.materialize()
+	s.snap = s.g.Freeze()
 	if err := s.ix.Retarget(s.snap, s.dirtyList); err != nil {
 		// Impossible by construction (same capacity); fail loudly in
 		// tests rather than corrupting silently.
@@ -421,7 +389,7 @@ func (s *Session) joinEpoch(seq int64) (committed bool, err error) {
 
 	// Commit: fold the refined moves into the live side.
 	for _, v := range diff {
-		w := int64(s.weight[v])
+		w := int64(s.g.VertexWeight(v))
 		from, to := s.live[v], s.pidx.Assign[v]
 		s.loads[from] -= w
 		s.loads[to] += w

@@ -92,9 +92,6 @@ type Config struct {
 	Metrics *obs.Registry
 }
 
-// half is one directed half-edge of the live adjacency.
-type half struct{ to, w int32 }
-
 // epochResult crosses the epoch goroutine's channel exactly once.
 type epochResult struct {
 	st  paragon.Stats
@@ -176,21 +173,17 @@ type Session struct {
 	cap   int32
 	alpha float64
 
-	// Live graph (ingest-side truth). adj/weight/vsize are indexed by
-	// vertex id over [0, cap); ids >= active are inactive: weight 0, no
-	// edges, placeholder partition — invisible to scoring and never
-	// moved by refinement.
+	// Live graph (ingest-side truth) over the id space [0, cap); ids >=
+	// active are inactive: weight 0, no edges, placeholder partition —
+	// invisible to scoring and never moved by refinement.
 	active int32
-	adj    [][]half
-	weight []int32
-	vsize  []int32
+	g      *graph.Mutable
 
 	// Live decomposition and its incrementally maintained score.
 	live    []int32
 	loads   []int64
 	floads  []float64 // float mirror for the placer
 	totalW  int64
-	edges   int64
 	ewTotal int64
 	cut     int64
 	comm    float64 // raw Σ w·c (CommCost = alpha·comm)
@@ -291,9 +284,7 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 		cap:    capN,
 		alpha:  alpha,
 		active: n0,
-		adj:    make([][]half, capN),
-		weight: make([]int32, capN),
-		vsize:  make([]int32, capN),
+		g:      graph.NewMutable(g0, capN),
 		live:   make([]int32, capN),
 		loads:  make([]int64, k),
 		floads: make([]float64, k),
@@ -306,15 +297,6 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 		mx:     newSessionMetrics(cfg.Metrics),
 	}
 	for v := int32(0); v < n0; v++ {
-		nbrs := g0.Neighbors(v)
-		wts := g0.EdgeWeights(v)
-		hs := make([]half, len(nbrs))
-		for i, u := range nbrs {
-			hs[i] = half{to: u, w: wts[i]}
-		}
-		s.adj[v] = hs
-		s.weight[v] = g0.VertexWeight(v)
-		s.vsize[v] = g0.VertexSize(v)
 		s.live[v] = p0.Assign[v]
 		s.loads[p0.Assign[v]] += int64(g0.VertexWeight(v))
 		s.totalW += int64(g0.VertexWeight(v))
@@ -325,7 +307,6 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 	for q := int32(0); q < k; q++ {
 		s.floads[q] = float64(s.loads[q])
 	}
-	s.edges = g0.NumEdges()
 	s.ewTotal = g0.TotalEdgeWeight()
 	s.recomputeLive()
 	s.baseComm = s.comm
@@ -336,7 +317,7 @@ func New(g0 *graph.Graph, p0 *partition.Partitioning, cfg Config) (*Session, err
 
 	// Epoch-side mirror: the persistent index over the padded snapshot.
 	s.pidx = &partition.Partitioning{K: k, Assign: append([]int32(nil), s.live...)}
-	s.snap = s.materialize()
+	s.snap = s.g.Freeze()
 	s.ix = partition.BuildIndex(s.snap, s.pidx)
 
 	// The serving layer, on the session clock, with its own fault
@@ -374,26 +355,6 @@ func sessionMix(x uint64) uint64 {
 	return x
 }
 
-// materialize freezes the live graph into an immutable CSR snapshot over
-// the full capacity id space (inactive vertices isolated, weight 0).
-func (s *Session) materialize() *graph.Graph {
-	b := graph.NewBuilder(s.cap)
-	b.Reserve(s.edges)
-	for v := int32(0); v < s.cap; v++ {
-		// Builder defaults every weight to 1; inactive vertices must carry
-		// 0 so they are invisible to Eq. 3/4 and to the refiner's balance
-		// bound.
-		b.SetVertexWeight(v, s.weight[v])
-		b.SetVertexSize(v, s.vsize[v])
-		for _, h := range s.adj[v] {
-			if v < h.to {
-				b.AddWeightedEdge(v, h.to, h.w)
-			}
-		}
-	}
-	return b.Build()
-}
-
 // recomputeLive re-derives the cut and raw comm sum from the live
 // adjacency in one deterministic ascending-vertex sweep — O(|E|), run at
 // construction and after each committed epoch (the incremental deltas
@@ -404,13 +365,13 @@ func (s *Session) recomputeLive() {
 	c := s.cfg.Costs
 	for v := int32(0); v < s.active; v++ {
 		pv := s.live[v]
-		for _, h := range s.adj[v] {
-			if h.to <= v {
+		for _, h := range s.g.Neighbors(v) {
+			if h.To <= v {
 				continue
 			}
-			if pu := s.live[h.to]; pu != pv {
-				cut += int64(h.w)
-				comm += float64(h.w) * c[pv][pu]
+			if pu := s.live[h.To]; pu != pv {
+				cut += int64(h.W)
+				comm += float64(h.W) * c[pv][pu]
 			}
 		}
 	}
@@ -446,7 +407,7 @@ func (s *Session) Directory() *dir.Directory { return s.dirc }
 func (s *Session) Active() int32 { return s.active }
 
 // Edges returns the live undirected edge count.
-func (s *Session) Edges() int64 { return s.edges }
+func (s *Session) Edges() int64 { return s.g.NumEdges() }
 
 // Stats snapshots the session counters.
 func (s *Session) Stats() Stats {
@@ -463,7 +424,7 @@ func (s *Session) Stats() Stats {
 		EpochMoves:       s.epochMoves,
 		DirectoryEpoch:   s.dirc.Epoch(),
 		Active:           s.active,
-		Edges:            s.edges,
+		Edges:            s.g.NumEdges(),
 		VirtualTicks:     s.clock.Now(),
 		Live:             s.LiveScore(),
 	}
@@ -502,5 +463,5 @@ func (s *Session) Source() dyn.Source { return liveView{s} }
 type liveView struct{ s *Session }
 
 func (v liveView) NumVertices() int32        { return v.s.active }
-func (v liveView) Degree(u int32) int32      { return int32(len(v.s.adj[u])) }
-func (v liveView) Neighbor(u, i int32) int32 { return v.s.adj[u][i].to }
+func (v liveView) Degree(u int32) int32      { return v.s.g.Degree(u) }
+func (v liveView) Neighbor(u, i int32) int32 { return v.s.g.Neighbors(u)[i].To }

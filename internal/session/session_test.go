@@ -249,7 +249,7 @@ func TestSessionLiveStateConsistency(t *testing.T) {
 	}
 
 	live := &partition.Partitioning{K: tK, Assign: s.live}
-	ref := partition.ComputeScore(s.materialize(), live, s.live, s.cfg.Costs, s.alpha)
+	ref := partition.ComputeScore(s.g.Freeze(), live, s.live, s.cfg.Costs, s.alpha)
 	got := s.LiveScore()
 	if got.EdgeCut != ref.EdgeCut {
 		t.Fatalf("incremental cut %d != recomputed %d", got.EdgeCut, ref.EdgeCut)
@@ -264,7 +264,7 @@ func TestSessionLiveStateConsistency(t *testing.T) {
 	// Loads must agree with a fresh per-partition weight sum.
 	var loads [tK]int64
 	for v := int32(0); v < s.cap; v++ {
-		loads[s.live[v]] += int64(s.weight[v])
+		loads[s.live[v]] += int64(s.g.VertexWeight(v))
 	}
 	for q := 0; q < tK; q++ {
 		if loads[q] != s.loads[q] {
@@ -310,5 +310,41 @@ func TestSessionConfigValidation(t *testing.T) {
 	cfg := testConfig(1, 0, nil, nil)
 	if _, err := New(g0, p1, cfg); err == nil {
 		t.Fatal("k = 1 accepted")
+	}
+}
+
+// fnv64 is FNV-1a over a byte slice, for pinning trace bytes.
+func fnv64(b []byte) uint64 {
+	h := uint64(0xcbf29ce484222325)
+	for _, c := range b {
+		h ^= uint64(c)
+		h *= 0x100000001b3
+	}
+	return h
+}
+
+// TestSessionReplayGolden pins one faulted replay to fixed fingerprints.
+// The bit-identity test only checks that worker counts agree with each
+// other; a change to live adjacency order would keep them agreeing while
+// altering every churn draw, so the absolute values are pinned here.
+func TestSessionReplayGolden(t *testing.T) {
+	const (
+		wantHash    = 0xbc3719d10513ed2f
+		wantDirHash = 0xe5cd7273168c839e
+		wantTrace   = 0xfadcc81e6002a2a1
+	)
+	r := runSchedule(t, 1, 0.35, 60)
+	t.Logf("launched %d committed %d aborted %d", r.launched, r.committed, r.stats.EpochsAborted)
+	if r.committed == 0 || r.stats.EpochsAborted == 0 {
+		t.Fatalf("schedule must both commit and abort epochs (committed %d, aborted %d)", r.committed, r.stats.EpochsAborted)
+	}
+	if r.hash != wantHash {
+		t.Errorf("assign hash %#x, want %#x", r.hash, uint64(wantHash))
+	}
+	if r.dirHash != wantDirHash {
+		t.Errorf("directory assign hash %#x, want %#x", r.dirHash, uint64(wantDirHash))
+	}
+	if h := fnv64(r.trace); h != wantTrace {
+		t.Errorf("trace fnv %#x, want %#x", h, uint64(wantTrace))
 	}
 }

@@ -52,14 +52,15 @@ type Graph = graph.Graph
 // Builder accumulates edges and produces a Graph.
 type Builder = graph.Builder
 
-// Overlay is a mutable edge add/remove view over a Graph.
-type Overlay = graph.Overlay
+// Mutable is a graph under edge churn, frozen back to a Graph for
+// partitioning.
+type Mutable = graph.Mutable
 
 // NewBuilder returns a builder for a graph with n vertices.
 func NewBuilder(n int32) *Builder { return graph.NewBuilder(n) }
 
-// NewOverlay wraps a graph for edge mutation.
-func NewOverlay(g *Graph) *Overlay { return graph.NewOverlay(g) }
+// NewMutable copies a graph for edge mutation over its own id space.
+func NewMutable(g *Graph) *Mutable { return graph.NewMutable(g, g.NumVertices()) }
 
 // ReadMETIS parses a METIS .graph stream.
 func ReadMETIS(r io.Reader) (*Graph, error) { return graph.ReadMETIS(r) }

@@ -115,18 +115,17 @@ func TestPublicAPIBaselines(t *testing.T) {
 	}
 }
 
-func TestPublicAPIDatasetsAndOverlay(t *testing.T) {
+func TestPublicAPIDatasetsAndMutable(t *testing.T) {
 	if len(paragonlib.Datasets()) != 12 {
 		t.Fatal("dataset registry size")
 	}
 	g := paragonlib.Mesh2D(6, 6)
-	o := paragonlib.NewOverlay(g)
-	if err := o.AddEdge(0, 35, 2); err != nil {
+	mg := paragonlib.NewMutable(g)
+	if _, err := mg.AddEdge(0, 35, 2); err != nil {
 		t.Fatal(err)
 	}
-	m := o.Materialize()
-	if !m.HasEdge(0, 35) {
-		t.Fatal("overlay edge lost")
+	if !mg.Freeze().HasEdge(0, 35) {
+		t.Fatal("added edge lost")
 	}
 	b := paragonlib.NewBuilder(3)
 	b.AddEdge(0, 1)

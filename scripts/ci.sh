@@ -93,6 +93,11 @@ cmp "$obsdir/d1.txt" "$obsdir/d8.txt"
 cmp "$obsdir/dt1.jsonl" "$obsdir/dt8.jsonl"
 cmp "$obsdir/dm1.prom" "$obsdir/dm8.prom"
 
+# Mutable-graph fuzz smoke: FuzzMutable drives arbitrary add/remove
+# sequences against a map edge-set oracle for a few seconds beyond its
+# committed seed corpus (internal/graph/testdata/fuzz/FuzzMutable).
+go test -run='^$' -fuzz='^FuzzMutable$' -fuzztime=10s ./internal/graph/
+
 # Bench bitrot smoke: compile and run every benchmark once so benchmark
 # code can't silently rot between perf-measurement sessions.
 go test -bench=. -benchtime=1x -run='^$' ./... > /dev/null
